@@ -20,7 +20,6 @@
 #include "core/supernode_manager.h"
 #include "net/latency_model.h"
 #include "net/topology.h"
-#include "net/uplink.h"
 #include "sim/simulator.h"
 #include "stream/queued_sender.h"
 #include "stream/video.h"
@@ -225,21 +224,6 @@ void BM_QueuedSenderEnqueue(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_QueuedSenderEnqueue);
-
-void BM_FairShareUplinkChurn(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    net::FairShareUplink uplink(sim, 10'000.0);
-    for (int i = 0; i < 64; ++i) {
-      sim.schedule_at(static_cast<double>(i), [&uplink] {
-        uplink.start_flow(100.0, 0.0, [](const net::FlowResult&) {});
-      });
-    }
-    sim.run_all();
-    benchmark::DoNotOptimize(uplink.total_delivered());
-  }
-}
-BENCHMARK(BM_FairShareUplinkChurn);
 
 void BM_DeadlineSchedulerEnqueuePop(benchmark::State& state) {
   stream::SegmentFactory factory;

@@ -97,28 +97,16 @@ const Assignment& SupernodeManager::assign(NodeId player, TimeMs l_max_ms) {
   if (roster_.empty()) return result;
 
   // Step 1 — cloud side: the closest candidates by coordinate distance
-  // (node coordinates derived from IP addresses in the paper). The grid
-  // index and the exhaustive scan produce element-for-element identical
-  // candidate lists (same haversine doubles, ties by ascending id).
+  // (node coordinates derived from IP addresses in the paper), found by the
+  // grid index's expanding-ring search. Its candidate list is
+  // element-for-element identical to an exhaustive roster scan (same
+  // haversine doubles, ties by ascending id) — tests/core/geo_grid_test.cpp
+  // pins assign() against that scan.
   const net::Host& player_host = topology_.host(player);
-  const net::GeoPoint player_pos = player_host.position;
   const std::size_t k = std::min(config_.candidate_count, roster_.size());
-  if (config_.use_spatial_index) {
-    // Host::cos_lat is the precomputed net::cos_lat(position) the grid
-    // would otherwise recompute per query.
-    grid_.nearest_k(player_pos, player_host.cos_lat, k, candidates_);
-  } else {
-    candidates_.clear();
-    candidates_.reserve(roster_.size());
-    for (NodeId sn : roster_) {
-      candidates_.emplace_back(
-          net::haversine_km(player_pos, topology_.host(sn).position), sn);
-    }
-    std::partial_sort(candidates_.begin(),
-                      candidates_.begin() + static_cast<std::ptrdiff_t>(k),
-                      candidates_.end());
-    candidates_.resize(k);
-  }
+  // Host::cos_lat is the precomputed net::cos_lat(position) the grid would
+  // otherwise recompute per query.
+  grid_.nearest_k(player_host.position, player_host.cos_lat, k, candidates_);
 
   // Step 2 — player side: probe transmission delay, filter by L_max. The
   // candidate distance is the exact haversine double the model would

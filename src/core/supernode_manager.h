@@ -57,11 +57,6 @@ struct SupernodeManagerConfig {
   std::size_t candidate_count = 8;
   /// Measurement noise of a delay probe (lognormal sigma; 0 = exact).
   double probe_jitter_sigma = 0.05;
-  /// Find candidates via the geographic grid index (expanding-ring search)
-  /// instead of scanning the whole roster. Both paths return exactly the
-  /// same candidates in the same order; the flag exists so tests can cross
-  /// check them and benchmarks can measure the difference.
-  bool use_spatial_index = true;
 };
 
 /// The cloud's supernode table plus the assignment algorithm.

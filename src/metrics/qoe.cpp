@@ -4,17 +4,24 @@
 
 namespace cloudfog::metrics {
 
-void QoECollector::add_latency(NodeId id, TimeMs latency_ms) {
+void PlayerQoE::add_latency(TimeMs latency_ms) {
   CF_CHECK_MSG(latency_ms >= 0.0, "latency must be non-negative");
-  players_[id].response_latency_ms.add(latency_ms);
+  response_latency_ms.add(latency_ms);
+}
+
+void PlayerQoE::add_units(double total, double on_time) {
+  CF_CHECK_MSG(total >= 0.0 && on_time >= -1e-9 && on_time <= total + 1e-9,
+               "on-time units must lie in [0, total]");
+  units_total += total;
+  units_on_time += std::min(std::max(on_time, 0.0), total);
+}
+
+void QoECollector::add_latency(NodeId id, TimeMs latency_ms) {
+  players_[id].add_latency(latency_ms);
 }
 
 void QoECollector::add_units(NodeId id, double total, double on_time) {
-  CF_CHECK_MSG(total >= 0.0 && on_time >= -1e-9 && on_time <= total + 1e-9,
-               "on-time units must lie in [0, total]");
-  auto& p = players_[id];
-  p.units_total += total;
-  p.units_on_time += std::min(std::max(on_time, 0.0), total);
+  players_[id].add_units(total, on_time);
 }
 
 double QoECollector::mean_response_latency_ms() const {

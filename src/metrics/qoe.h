@@ -24,6 +24,11 @@ struct PlayerQoE {
   double units_total = 0.0;    // packets (packet-level) or kbit (fluid)
   double units_on_time = 0.0;  // arrived within the response latency
 
+  /// Records a response-latency sample (must be non-negative).
+  void add_latency(TimeMs latency_ms);
+  /// Records delivered units (`on_time` <= `total`).
+  void add_units(double total, double on_time);
+
   /// Playback continuity in [0, 1]; 1.0 before any data is recorded.
   double continuity() const {
     return units_total > 0.0 ? units_on_time / units_total : 1.0;

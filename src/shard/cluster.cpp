@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "exec/run_executor.h"
@@ -18,7 +19,8 @@ ShardCluster::ShardCluster(std::size_t shard_count, std::size_t workers)
     : inbox_(shard_count),
       pool_(std::min(shard_count,
                      workers == 0 ? exec::default_jobs() : workers)),
-      parent_registry_(obs::registry()) {
+      parent_registry_(obs::registry()),
+      parent_tracer_(obs::tracer()) {
   CF_CHECK_GE(shard_count, std::size_t{1});
   sims_.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
@@ -46,19 +48,18 @@ void ShardCluster::run(TimeMs horizon, TimeMs lookahead) {
     pool_.run_round(sims_.size(), [&](std::size_t s) {
       // Per-shard thread-scoped registry: the engines' hot counters land
       // in shard-private storage, merged below once the run completes.
-      if (parent_registry_ != nullptr) {
-        obs::ScopedRegistry scoped(shard_registries_[s]);
-        final_round ? sims_[s]->run_until(bound) : sims_[s]->run_before(bound);
-      } else {
-        final_round ? sims_[s]->run_until(bound) : sims_[s]->run_before(bound);
-      }
+      // Trace events go straight to the caller's (mutex-guarded) recorder.
+      std::optional<obs::ScopedRegistry> registry;
+      std::optional<obs::ScopedTracer> tracer;
+      if (parent_registry_ != nullptr) registry.emplace(shard_registries_[s]);
+      if (parent_tracer_ != nullptr) tracer.emplace(*parent_tracer_);
+      final_round ? sims_[s]->run_until(bound) : sims_[s]->run_before(bound);
     });
     for (std::size_t dst = 0; dst < sims_.size(); ++dst) {
       for (InboxMessage& m : inbox_.drain(dst)) {
         // The conservative contract: nothing posted during a window may
         // land inside it. At the horizon the message is simply dropped —
-        // past-the-end events never execute in the sequential engine
-        // either.
+        // past-the-end events never execute in a single engine either.
         CF_CHECK_MSG(m.when >= bound,
                      "cross-shard message beat the lookahead window");
         if (final_round) continue;

@@ -10,8 +10,8 @@
 //     barrier round:  every shard runs its own engine to `bound`
 //                     (run_before — events exactly AT the bound belong to
 //                      the next window; the final round is run_until so
-//                      horizon-edge events fire, matching the sequential
-//                      engine)
+//                      horizon-edge events fire, matching a one-engine
+//                      run_until)
 //     exchange:       drain the inboxes in canonical (when, src, seq)
 //                     order into the destination engines; every message
 //                     must land at or after `bound` (CF_CHECKed — the
@@ -28,7 +28,8 @@
 // Observability: if a metrics registry is installed when the cluster is
 // built, each shard gets a private registry installed (thread-locally) for
 // the duration of its round tasks, and all K are merged into the parent in
-// shard order after the run — same pattern as exec::RunExecutor.
+// shard order after the run — same pattern as exec::RunExecutor. A tracer
+// installed at build time is installed on every round task as is.
 #pragma once
 
 #include <cstddef>
@@ -37,6 +38,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "shard/barrier_pool.h"
 #include "shard/inbox.h"
 #include "sim/simulator.h"
@@ -46,7 +48,7 @@ namespace cloudfog::shard {
 
 /// The shard count a run can actually sustain: `requested`, unless the
 /// lookahead is non-positive (zero-lookahead degenerate case — nothing can
-/// be ahead of anything, so only the sequential engine is sound).
+/// be ahead of anything, so only a single shard is sound).
 std::size_t effective_shard_count(std::size_t requested, TimeMs lookahead);
 
 class ShardCluster {
@@ -65,8 +67,8 @@ class ShardCluster {
 
   /// Advances every shard to `horizon` in windows of `lookahead` ms
   /// (infinity = one window). Single-shot: one run per cluster. Messages
-  /// still in flight at the horizon are dropped — the sequential engine
-  /// equally never executes events past its run_until horizon.
+  /// still in flight at the horizon are dropped — a single engine equally
+  /// never executes events past its run_until horizon.
   void run(TimeMs horizon, TimeMs lookahead);
 
  private:
@@ -75,6 +77,7 @@ class ShardCluster {
   BarrierPool pool_;
   bool ran_ = false;
   obs::MetricsRegistry* parent_registry_ = nullptr;
+  obs::TraceRecorder* parent_tracer_ = nullptr;
   std::vector<obs::MetricsRegistry> shard_registries_;
 };
 

@@ -46,7 +46,7 @@ struct ScenarioParams {
   // --- supernode segment cache (DESIGN.md §11) -----------------------------
   /// Enables the supernode segment-cache + transcoding subsystem. With the
   /// flag off every existing output is byte-identical to the legacy model —
-  /// the cache-off run is the oracle path, like use_spatial_index.
+  /// the cache-off run is the oracle path.
   bool use_segment_cache = false;
   /// Cache capacity per supernode capacity slot (kbit); total capacity is
   /// slots x this. 0 keeps the subsystem engaged but admits nothing — the
@@ -64,20 +64,15 @@ struct ScenarioParams {
   /// admission trade-off weight (0 = delay-optimal only).
   double cache_egress_cost_ms_per_kbit = 0.05;
 
-  // --- space-parallel sharded engine (DESIGN.md §13) -----------------------
-  /// Geographic shards the streaming run is split across. 1 (default) runs
-  /// the literal sequential engine, byte-identical to every prior release;
-  /// > 1 selects the sharded engine in src/shard, whose QoE digest is
-  /// invariant in the shard count but NOT bit-equal to the sequential
-  /// engine (per-entity RNG streams vs one shared jitter stream).
+  // --- space-parallel streaming engine (DESIGN.md §13) ---------------------
+  /// Geographic shards the streaming run is split across. The QoE digest
+  /// is bit-identical at every value; more shards only spread one run's
+  /// events across more cores. 1 (default) runs on the calling thread.
   std::size_t sim_shards = 1;
-  /// Forces the sharded engine even at sim_shards == 1 — the single-shard
-  /// oracle every multi-shard digest is compared against.
-  bool sim_force_sharded = false;
-  /// Cooperative cross-supernode cache lookups (sharded engine only): on a
-  /// local miss that would hit the cloud, probe this many nearest peer
-  /// supernodes first. 0 disables the protocol. The probe/response edges
-  /// are what gives the shard windows a finite lookahead.
+  /// Cooperative cross-supernode cache lookups: on a local miss that would
+  /// hit the cloud, probe this many nearest peer supernodes first. 0
+  /// disables the protocol. The probe/response edges are what gives the
+  /// shard windows a finite lookahead.
   std::size_t cache_coop_neighbors = 0;
   /// Supernode-to-supernode transfer rate for cooperative cache hits.
   Kbps cache_coop_kbps = 50'000.0;

@@ -22,6 +22,11 @@
 // CloudFog-adapt / CloudFog/A players additionally run the Section III-B
 // receiver-driven rate adaptation: a ReceiverBuffer tracks s(t) (Eq 7) and
 // a RateAdaptationController steps the encoding level from r (Eqs 8-11).
+//
+// One engine runs every call (streaming_sim.cpp, DESIGN.md §13): the
+// world is split into ScenarioParams::sim_shards geographic shards (1 by
+// default), and the QoE digest is bit-identical at every shard count and
+// worker count.
 #pragma once
 
 #include <array>
@@ -36,13 +41,12 @@
 
 namespace cloudfog::systems {
 
-/// One scripted supernode membership toggle (sharded engine only): at
-/// `when_ms` the supernode hosted by player `pop_index` leaves (its
-/// players fail over to a provisioned queue at their home datacenter and
-/// its cache is released, cancelling in-flight jobs) or (re)joins (cache
-/// re-registered empty, players return). Events for one supernode must
-/// alternate; a supernode whose first event is a join starts the run
-/// absent.
+/// One scripted supernode membership toggle: at `when_ms` the supernode
+/// hosted by player `pop_index` leaves (its players fail over to a
+/// provisioned queue at their home datacenter and its cache is released,
+/// cancelling in-flight jobs) or (re)joins (cache re-registered empty,
+/// players return). Events for one supernode must alternate; a supernode
+/// whose first event is a join starts the run absent.
 struct SupernodeChurnEvent {
   TimeMs when_ms = 0.0;
   std::size_t pop_index = 0;
@@ -61,7 +65,7 @@ struct StreamingOptions {
   core::CloudFogConfig cloudfog = core::CloudFogConfig::defaults();
   std::uint64_t seed_salt = 0;     // distinguishes repeated runs
 
-  // --- sharded engine only (ScenarioParams::sim_shards, DESIGN.md §13) ----
+  // --- supernode churn and shard workers (DESIGN.md §13) -------------------
   /// Dynamic supernode join/leave script. Under the packet-level deadline
   /// scheduler a leave drains the departed sender's queued backlog and
   /// streams each remainder through the player's failover fluid queue.
@@ -94,21 +98,10 @@ struct StreamingResult {
   cache::CacheTotals cache;
 };
 
-/// Runs one streaming simulation of `kind` over the scenario. Dispatches
-/// to the sharded engine when ScenarioParams::sim_shards > 1 (or
-/// sim_force_sharded is set); otherwise runs the sequential engine.
+/// Runs one streaming simulation of `kind` over the scenario, split across
+/// ScenarioParams::sim_shards shards.
 StreamingResult run_streaming(SystemKind kind, const Scenario& scenario,
                               const StreamingOptions& options);
-
-/// The space-parallel engine (src/shard): partitions the world into
-/// geographic shards, runs one slab event engine per shard under
-/// conservative time windows, and produces a QoE digest that is invariant
-/// in the shard count and the worker count (tests/integration pins this
-/// against the single-shard oracle). Called via run_streaming's dispatch;
-/// exposed for tests that want a specific engine regardless of params.
-StreamingResult run_streaming_sharded(SystemKind kind,
-                                      const Scenario& scenario,
-                                      const StreamingOptions& options);
 
 /// One self-contained streaming run for the parallel batch entry point:
 /// the scenario is specified by parameters, not by reference, so every run

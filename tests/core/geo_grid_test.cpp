@@ -2,6 +2,8 @@
 // exactly what a brute-force (distance, id) sort would — same doubles, same
 // ties, same order — across churn, duplicate positions, and every k.
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -163,7 +165,60 @@ TEST(GeoGridTest, NearestKAcrossAntimeridianMatchesBruteForce) {
   }
 }
 
-// The manager-level guarantee: assignments with the spatial index are
+/// Test-local reference for SupernodeManager::assign: the same Section
+/// III-A3 algorithm with the candidates found by brute_nearest_k over the
+/// whole roster instead of the grid, and each probe computed through the
+/// plain two-node latency call instead of the distance-carrying overload.
+class BruteScanDirectory {
+ public:
+  BruteScanDirectory(const net::Topology& topology,
+                     SupernodeManagerConfig config, util::Rng rng)
+      : topology_(topology), config_(config), rng_(rng) {}
+
+  void add_supernode(NodeId host, int capacity) {
+    members_.emplace_back(host, topology_.host(host).position);
+    spare_[host] = capacity;
+  }
+
+  Assignment assign(NodeId player, TimeMs l_max_ms) {
+    std::vector<std::pair<TimeMs, NodeId>> qualified;
+    for (const auto& candidate :
+         brute_nearest_k(members_, topology_.host(player).position,
+                         config_.candidate_count)) {
+      const NodeId sn = candidate.second;
+      TimeMs delay = topology_.expected_server_one_way_ms(sn, player);
+      if (config_.probe_jitter_sigma > 0.0) {
+        delay *= rng_.lognormal(0.0, config_.probe_jitter_sigma);
+      }
+      if (delay <= l_max_ms) qualified.emplace_back(delay, sn);
+    }
+    std::sort(qualified.begin(), qualified.end());  // by (delay, id)
+    Assignment result;
+    for (const auto& [delay, sn] : qualified) {
+      if (result.direct_to_cloud() && spare_[sn] > 0) {
+        --spare_[sn];
+        ++total_assigned_;
+        result.supernode = sn;
+        result.delay_ms = delay;
+      } else {
+        result.backups.push_back(sn);
+      }
+    }
+    return result;
+  }
+
+  std::int64_t total_assigned() const { return total_assigned_; }
+
+ private:
+  const net::Topology& topology_;
+  SupernodeManagerConfig config_;
+  util::Rng rng_;
+  std::vector<std::pair<NodeId, net::GeoPoint>> members_;
+  std::map<NodeId, int> spare_;  // unclaimed capacity slots
+  std::int64_t total_assigned_ = 0;
+};
+
+// The manager-level guarantee: assignments through the spatial index are
 // indistinguishable from the exhaustive scan — same chosen supernode, same
 // delay doubles, same backups, same RNG consumption — across seeds and
 // roster sizes, including capacity churn.
@@ -179,15 +234,12 @@ TEST(GeoGridTest, AssignWithIndexMatchesBruteForceScan) {
           pc, net::LatencyParams::simulation_profile(seed));
       const auto players = topo.hosts_with_role(net::HostRole::kPlayer);
 
-      SupernodeManagerConfig grid_cfg;
-      grid_cfg.use_spatial_index = true;
-      SupernodeManagerConfig brute_cfg = grid_cfg;
-      brute_cfg.use_spatial_index = false;
-      SupernodeManager with_grid(topo, grid_cfg, util::Rng(seed * 7));
-      SupernodeManager brute(topo, brute_cfg, util::Rng(seed * 7));
+      const SupernodeManagerConfig cfg;
+      SupernodeManager with_grid(topo, cfg, util::Rng(seed * 7));
+      BruteScanDirectory brute(topo, cfg, util::Rng(seed * 7));
       for (std::size_t i = 0; i < roster; ++i) {
         with_grid.add_supernode(players[i], 2, 10'000.0);
-        brute.add_supernode(players[i], 2, 10'000.0);
+        brute.add_supernode(players[i], 2);
       }
 
       // Tight-ish threshold so some assignments go direct-to-cloud and the

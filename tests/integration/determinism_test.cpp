@@ -124,6 +124,12 @@ TEST_P(DeterminismTest, ObservabilityHasNoObserverEffect) {
   ASSERT_NE(executed, nullptr);
   EXPECT_GT(executed->value(), 0u);
   EXPECT_GT(recorder.event_count(), 0u);
+  // The periodic sampler and the run's start/end instants reached the trace.
+  const std::string trace = recorder.to_chrome_json();
+  EXPECT_NE(trace.find("\"name\":\"sim.queue.depth\",\"cat\":\"counter\""),
+            std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"streaming.start\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"streaming.end\""), std::string::npos);
 }
 
 TEST(ParallelDeterminismTest, JobsOneAndJobsEightProduceIdenticalDigests) {

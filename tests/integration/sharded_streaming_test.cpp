@@ -1,6 +1,6 @@
-// The sharded engine's central promise: one run, many cores, one digest.
-// The single-shard sharded run (sim_force_sharded, K = 1) is the oracle;
-// every multi-shard and multi-worker digest must be bit-identical to it —
+// The streaming engine's central promise: one run, many cores, one digest.
+// The single-shard run (K = 1, the default) is the oracle; every
+// multi-shard and multi-worker digest must be bit-identical to it —
 // per seed, per system kind, with the cache/coop subsystem on, and under
 // supernode churn. EXPECT_EQ on doubles is deliberate: the contract is
 // exact equality, not tolerance.
@@ -10,7 +10,11 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace cloudfog::systems {
 namespace {
@@ -23,7 +27,6 @@ ScenarioParams small_params(std::uint64_t seed, std::size_t shards) {
   // strain as the full-size experiments).
   p.dc_uplink_kbps = 1'250'000.0 * 500.0 / 10'000.0;
   p.sim_shards = shards;
-  p.sim_force_sharded = true;  // K = 1 is the oracle, same engine
   return p;
 }
 
@@ -177,16 +180,6 @@ TEST(ShardedStreaming, ChurnFailsPlayersOverToTheCloud) {
   EXPECT_EQ(with_churn.segments_generated, without.segments_generated);
 }
 
-TEST(ShardedStreaming, ChurnRequiresShardedEngine) {
-  ScenarioParams p = small_params(1, 1);
-  p.sim_force_sharded = false;  // sequential dispatch path
-  const Scenario scenario = Scenario::build(p);
-  StreamingOptions o = fast_options();
-  o.supernode_churn.push_back({900.0, scenario.supernode_players().front(), true});
-  EXPECT_THROW(run_streaming(SystemKind::kCloudFogB, scenario, o),
-               std::logic_error);
-}
-
 TEST(ShardedStreaming, ChurnWithSchedulingDigestInvariant) {
   // Churn is legal under the packet-level deadline scheduler (DESIGN.md
   // §14): a leave drains the departed sender's backlog into the failover
@@ -219,6 +212,49 @@ TEST(ShardedStreaming, ChurnWithSchedulingFailsOverToTheCloud) {
       run_streaming(SystemKind::kCloudFogA, scenario, fast_options());
   EXPECT_GT(with_churn.cloud_uplink_mbps, without.cloud_uplink_mbps);
   EXPECT_EQ(with_churn.segments_generated, without.segments_generated);
+}
+
+TEST(ShardedStreaming, ObservabilityHasNoObserverEffectAcrossShards) {
+  // With a registry or tracer installed, every shard's engine runs the
+  // periodic sim sampler and the pool threads record into the caller's
+  // sinks. The sampler's events sit in the same queues as the model's, so
+  // this pins the pure-sink contract where that matters most: four shards
+  // on several workers, finite windows (coop probes) and churn, on both the
+  // fluid and the packet path. The observed run must match the unobserved
+  // K = 4 run and the unobserved K = 1 oracle bit for bit.
+  auto run = [](SystemKind kind, std::size_t shards) {
+    ScenarioParams p = small_params(4, shards);
+    p.use_segment_cache = true;
+    p.cache_coop_neighbors = 2;
+    const Scenario scenario = Scenario::build(p);
+    StreamingOptions o = churn_options(scenario);
+    o.shard_workers = 3;
+    return run_streaming(kind, scenario, o);
+  };
+  for (SystemKind kind : {SystemKind::kCloudFogB, SystemKind::kCloudFogA}) {
+    const StreamingResult oracle = run(kind, 1);
+    const StreamingResult plain = run(kind, 4);
+    obs::MetricsRegistry registry;
+    obs::TraceRecorder recorder;
+    const StreamingResult observed = [&] {
+      obs::ScopedRegistry install_registry(registry);
+      obs::ScopedTracer install_tracer(recorder);
+      return run(kind, 4);
+    }();
+    EXPECT_GT(oracle.cache.coop_probes, 0u) << to_string(kind);
+    EXPECT_EQ(digest(plain), digest(oracle)) << to_string(kind);
+    EXPECT_EQ(digest(observed), digest(plain))
+        << to_string(kind) << ": observability perturbed the K = 4 run";
+    // Collection happened on the shards, not just on the calling thread.
+    const obs::Counter* executed =
+        registry.find_counter("sim.events.executed");
+    ASSERT_NE(executed, nullptr);
+    EXPECT_GT(executed->value(), 0u);
+    EXPECT_NE(recorder.to_chrome_json().find(
+                  "\"name\":\"sim.queue.depth\",\"cat\":\"counter\""),
+              std::string::npos)
+        << to_string(kind);
+  }
 }
 
 TEST(ShardedStreaming, ChurnEventsMustAlternate) {

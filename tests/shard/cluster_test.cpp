@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "shard/inbox.h"
 #include "sim/simulator.h"
 
@@ -130,7 +132,7 @@ TEST(ShardCluster, MessageBeatingTheLookaheadIsRejected) {
 }
 
 TEST(ShardCluster, MessagesInFlightAtHorizonAreDropped) {
-  // The sequential engine never executes events past its horizon; a
+  // A single engine never executes events past its horizon; a
   // message whose arrival lands beyond (or at) the horizon is dropped.
   ShardCluster cluster(2, 1);
   bool ran = false;
@@ -183,6 +185,30 @@ TEST(ShardCluster, DigestInvariantInWorkerCount) {
     return t;
   };
   EXPECT_EQ(trace(1), trace(4));
+}
+
+TEST(ShardCluster, InstallsCallersObsSinksOnEveryShard) {
+  // Shard rounds run on pool threads, whose thread-scoped sinks start out
+  // null: the cluster installs the caller's tracer and a private registry
+  // (merged back after the run) around every round task.
+  obs::MetricsRegistry registry;
+  obs::TraceRecorder recorder;
+  obs::ScopedRegistry install_registry(registry);
+  obs::ScopedTracer install_tracer(recorder);
+  ShardCluster cluster(4, 4);
+  for (std::size_t s = 0; s < 4; ++s) {
+    cluster.sim(s).schedule_at(1.0 + static_cast<double>(s), [] {
+      obs::trace_sim_instant("tick", "test", 0.0);
+      if (obs::MetricsRegistry* r = obs::registry()) {
+        r->counter("test.ticks").add();
+      }
+    });
+  }
+  cluster.run(10.0, kInf);
+  EXPECT_EQ(recorder.event_count(), 4u);
+  const obs::Counter* ticks = registry.find_counter("test.ticks");
+  ASSERT_NE(ticks, nullptr);
+  EXPECT_EQ(ticks->value(), 4u);
 }
 
 }  // namespace
